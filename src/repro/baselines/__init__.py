@@ -7,14 +7,14 @@
   memtable, no Bloom filters, and a partition (file-granularity)
   compaction scheduler; the LevelDB stand-in.  O(levels) seeks per read
   and unbounded write pauses under sustained load (Sections 3.2, 5.2).
-* :class:`BLSMEngine` — adapts :class:`repro.core.BLSM` to the common
-  engine interface used by the YCSB runner.
+* :class:`BLSMEngine`, :class:`PartitionedBLSMEngine` and
+  :class:`CompactionEngine` — one adapter (:class:`LSMEngine`) exposing
+  the bLSM tree family through the common engine interface used by the
+  YCSB runner.
 """
 
 from repro.baselines.bitcask_engine import BitCaskEngine
-from repro.baselines.blsm_engine import BLSMEngine
 from repro.baselines.btree_engine import BTreeEngine
-from repro.baselines.compaction_engine import CompactionEngine
 from repro.baselines.interface import (
     IO_SUMMARY_KEYS,
     KVEngine,
@@ -23,7 +23,12 @@ from repro.baselines.interface import (
     validate_io_summary,
 )
 from repro.baselines.leveldb_engine import LevelDBEngine
-from repro.baselines.partitioned_engine import PartitionedBLSMEngine
+from repro.baselines.lsm_engine import (
+    BLSMEngine,
+    CompactionEngine,
+    LSMEngine,
+    PartitionedBLSMEngine,
+)
 
 __all__ = [
     "BitCaskEngine",
@@ -33,6 +38,7 @@ __all__ = [
     "IO_SUMMARY_KEYS",
     "KVEngine",
     "LevelDBEngine",
+    "LSMEngine",
     "PartitionedBLSMEngine",
     "WriteBatch",
     "build_io_summary",

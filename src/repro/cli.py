@@ -618,7 +618,7 @@ def _bench_policies(args: argparse.Namespace) -> int:
     import random
 
     from repro.analysis.amplification import policy_table
-    from repro.baselines.compaction_engine import CompactionEngine
+    from repro.baselines import CompactionEngine
     from repro.core.compaction.policy import POLICY_NAMES
     from repro.core.options import BLSMOptions
 

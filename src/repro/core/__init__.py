@@ -3,7 +3,9 @@
 A three-level LSM-Tree (C0 in memory; C1, C1', C2 on disk) with Bloom
 filters on every on-disk component, early-terminating reads, zero-seek
 insert-if-not-exists, snowshoveling, and a pluggable merge scheduler
-(naive, gear, or spring-and-gear).
+(naive, gear, or spring-and-gear).  The paper tree, its range-partitioned
+variant and the policy-owned compaction layouts share one front end,
+:class:`LSMFrontEnd`.
 """
 
 from repro.core.compaction import (
@@ -15,6 +17,7 @@ from repro.core.compaction import (
     make_policy,
     make_tree,
 )
+from repro.core.frontend import LSMFrontEnd
 from repro.core.options import BLSMOptions
 from repro.core.partitioned import PartitionedBLSM
 from repro.core.scheduler import (
@@ -33,6 +36,7 @@ __all__ = [
     "CompactionTree",
     "GearScheduler",
     "LevelManager",
+    "LSMFrontEnd",
     "MergePlan",
     "MergeScheduler",
     "NaiveScheduler",

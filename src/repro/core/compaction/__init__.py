@@ -13,15 +13,17 @@ the bLSM-specific C0/C1'/C1/C2 slots:
   exposing the same write/read/scheduler/recovery surface as
   :class:`repro.core.tree.BLSM`.
 
-:func:`make_tree` is the single dispatch point: ``blsm3`` (the default
-policy) returns the unmodified paper tree, so existing behaviour is
-preserved bit for bit, while every other policy name returns a
-:class:`CompactionTree` parameterized by :func:`make_policy`.
+:func:`make_tree` (and :func:`recover_tree`) is the single dispatch
+point: ``blsm3`` (the default policy) returns the paper's own tree — or
+its range-partitioned variant with ``partitioned=True`` — while every
+other policy name returns a :class:`CompactionTree` parameterized by
+:func:`make_policy`.  All three share one front end
+(:class:`repro.core.frontend.LSMFrontEnd`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Any, Union
 
 from repro.core.compaction.manager import LevelManager
 from repro.core.compaction.merge import PolicyMergeJob
@@ -38,6 +40,7 @@ from repro.core.compaction.tree import CompactionTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.options import BLSMOptions
+    from repro.core.partitioned import PartitionedBLSM
     from repro.core.tree import BLSM
     from repro.storage.stasis import Stasis
 
@@ -57,28 +60,48 @@ __all__ = [
 ]
 
 
+def _tree_class(options: "BLSMOptions", partitioned: bool) -> type:
+    """The tree class ``options`` (and the partitioning flag) select."""
+    if partitioned:
+        if options.compaction_policy != "blsm3":
+            raise ValueError(
+                "range partitioning applies to the blsm3 policy only, "
+                f"not {options.compaction_policy!r}"
+            )
+        from repro.core.partitioned import PartitionedBLSM
+
+        return PartitionedBLSM
+    if options.compaction_policy == "blsm3":
+        from repro.core.tree import BLSM
+
+        return BLSM
+    return CompactionTree
+
+
 def make_tree(
-    options: "BLSMOptions", stasis: "Stasis | None" = None
-) -> "Union[BLSM, CompactionTree]":
+    options: "BLSMOptions",
+    stasis: "Stasis | None" = None,
+    *,
+    partitioned: bool = False,
+    **layout: Any,
+) -> "Union[BLSM, PartitionedBLSM, CompactionTree]":
     """Build the tree ``options.compaction_policy`` names.
 
     ``blsm3`` maps to the paper's own :class:`~repro.core.tree.BLSM`
-    (imported lazily to avoid a cycle); anything else builds a
-    :class:`CompactionTree` around the matching policy.
+    (imported lazily to avoid a cycle), or with ``partitioned=True`` to
+    the range-partitioned :class:`~repro.core.partitioned.PartitionedBLSM`
+    (``layout`` carries its ``max_partition_bytes``); anything else
+    builds a :class:`CompactionTree` around the matching policy.
     """
-    if options.compaction_policy == "blsm3":
-        from repro.core.tree import BLSM
-
-        return BLSM(options, stasis)
-    return CompactionTree(options, stasis)
+    return _tree_class(options, partitioned)(options, stasis, **layout)
 
 
 def recover_tree(
-    stasis: "Stasis", options: "BLSMOptions"
-) -> "Union[BLSM, CompactionTree]":
-    """Recover the tree ``options.compaction_policy`` names from a crash."""
-    if options.compaction_policy == "blsm3":
-        from repro.core.tree import BLSM
-
-        return BLSM.recover(stasis, options)
-    return CompactionTree.recover(stasis, options)
+    stasis: "Stasis",
+    options: "BLSMOptions",
+    *,
+    partitioned: bool = False,
+    **layout: Any,
+) -> "Union[BLSM, PartitionedBLSM, CompactionTree]":
+    """Recover the tree :func:`make_tree` would build from a crash."""
+    return _tree_class(options, partitioned).recover(stasis, options, **layout)

@@ -10,7 +10,7 @@ paper's prototype behaviour, Section 4.4.3).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
 from repro.bloom import BloomFilter
 from repro.core.options import BLSMOptions
@@ -75,4 +75,12 @@ def component_extents(desc: dict[str, Any] | None) -> set[Extent]:
     bloom_desc = desc.get("bloom")
     if bloom_desc is not None:
         live.add(bloom_desc["extent"])
+    return live
+
+
+def live_extents(tables: Iterable[SSTable | None]) -> set[Extent]:
+    """Every extent the given components pin (orphan-sweep input)."""
+    live: set[Extent] = set()
+    for table in tables:
+        live.update(component_extents(describe_component(table)))
     return live

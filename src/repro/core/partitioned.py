@@ -34,26 +34,16 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
-from repro.core.components import (
-    component_extents,
-    describe_component,
-    rebuild_component,
-)
-from repro.core.merge import MergeProcess, RangeSnowshovelSource
-from repro.core.options import BLSMOptions
-from repro.errors import EngineClosedError
-from repro.memtable.memtable import MemTable
+from repro.core.components import describe_component
+from repro.core.frontend import OP_PUT, LSMFrontEnd
+from repro.core.merge import FrozenSource, MergeProcess, RangeSnowshovelSource
+from repro.core.scheduler import MergeScheduler
 from repro.records import Record, resolve
 from repro.sim.clock import Timeline
 from repro.sstable.iterator import kway_merge
 from repro.sstable.reader import SSTable
-from repro.storage.stasis import Stasis
-
-_OP_PUT = "put"
-_OP_DELETE = "delete"
-_OP_DELTA = "delta"
 
 
 @dataclass
@@ -88,98 +78,43 @@ class Partition:
         return key >= self.lo and (self.hi is None or key < self.hi)
 
 
-class PartitionedBLSM:
-    """A range-partitioned bLSM tree with greedy merge selection."""
+class PartitionedBLSM(LSMFrontEnd):
+    """A range-partitioned bLSM tree with greedy merge selection.
 
-    def __init__(
-        self,
-        options: BLSMOptions | None = None,
-        stasis: Stasis | None = None,
-        max_partition_bytes: int | None = None,
-    ) -> None:
-        self.options = options if options is not None else BLSMOptions()
-        opts = self.options
-        if stasis is not None:
-            self.stasis = stasis
-        else:
-            self.stasis = Stasis(
-                disk_model=opts.disk_model,
-                page_size=opts.page_size,
-                buffer_pool_pages=opts.buffer_pool_pages,
-                eviction_policy=opts.eviction_policy,
-                durability=opts.durability,
-                fault_plan=opts.fault_plan,
-                retry=opts.retry,
-                capacity_bytes=opts.capacity_bytes,
-                log_disk_model=opts.log_disk_model,
-                data_stripes=opts.data_stripes,
-                stripe_chunk_bytes=opts.stripe_chunk_bytes,
-                observability=opts.observability,
-            )
+    ``max_partition_bytes`` (constructor and :meth:`recover` keyword,
+    default four C0s) is the size past which a partition splits.
+    """
+
+    def _init_state(self, max_partition_bytes: int | None = None) -> None:
         self.max_partition_bytes = (
             max_partition_bytes
             if max_partition_bytes is not None
-            else 4 * opts.c0_bytes
+            else 4 * self.options.c0_bytes
         )
-        self._memtable = MemTable(
-            opts.c0_bytes, seed=opts.seed, kind=opts.memtable
-        )
-        self._partitions: list[Partition] = [Partition(lo=b"", hi=None)]
-        self._next_seqno = 0
-        self._next_tree_id = 1
-        self._merge_epoch = 0
-        self._closed = False
         # One merge runs at a time (the greedy selector serializes them),
         # so one background timeline models the merge worker.
-        self._bg: Timeline | None = (
-            Timeline("merge-worker") if opts.background_merges else None
-        )
-        self._init_obs()
-        self.stasis.commit_manifest(self._manifest())
+        if self.options.background_merges:
+            self._workers = {"any": Timeline("merge-worker")}
+        # Paused scans validate against this epoch (see :meth:`scan`).
+        self._merge_epoch = 0
 
-    def _init_obs(self) -> None:
-        """Bind this tree's instrumentation to the runtime's registry."""
-        self.runtime = self.stasis.runtime
-        metrics = self.runtime.metrics
-        self._gauge_fill = metrics.gauge("memtable.fill")
-        self._gauge_pressure = metrics.gauge("scheduler.pressure")
-        self._ctr_memtable_full = metrics.counter("memtable.full_events")
-        self._ctr_stalls = metrics.counter("writes.stalls")
-        self._hist_stall = metrics.histogram("writes.stall_seconds")
-        self._merge_obs = {
-            level: (
-                metrics.counter(f"merge.{level}.passes"),
-                metrics.counter(f"merge.{level}.bytes"),
-                metrics.counter(f"merge.{level}.seconds"),
+    def _init_layout(self) -> None:
+        self._partitions: list[Partition] = [Partition(lo=b"", hi=None)]
+
+    def _restore_layout(self, manifest: dict[str, Any]) -> list[SSTable | None]:
+        self._partitions = [
+            Partition(
+                lo=desc["lo"],
+                hi=desc["hi"],
+                c1=self._rebuild(desc["c1"]),
+                c2=self._rebuild(desc["c2"]),
             )
-            for level in ("c0c1", "c1c2")
-        }
+            for desc in manifest["partitions"]
+        ]
+        return [c for p in self._partitions for c in (p.c1, p.c2)]
 
-    # ------------------------------------------------------------------
-    # Write API
-    # ------------------------------------------------------------------
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self._write(Record.base(key, value, self._take_seqno()), _OP_PUT)
-
-    def delete(self, key: bytes) -> None:
-        self._write(Record.tombstone(key, self._take_seqno()), _OP_DELETE)
-
-    def apply_delta(self, key: bytes, delta: bytes) -> None:
-        self._write(Record.delta(key, delta, self._take_seqno()), _OP_DELTA)
-
-    def insert_if_not_exists(self, key: bytes, value: bytes) -> bool:
-        if self.get(key) is not None:
-            return False
-        self.put(key, value)
-        return True
-
-    def read_modify_write(
-        self, key: bytes, update: Callable[[bytes | None], bytes]
-    ) -> bytes:
-        new_value = update(self.get(key))
-        self.put(key, new_value)
-        return new_value
+    def _make_scheduler(self) -> MergeScheduler:
+        return GreedySpringScheduler()
 
     # ------------------------------------------------------------------
     # Read API
@@ -209,7 +144,7 @@ class PartitionedBLSM:
         ):
             # Section 5.6's repair, as in BLSM.get: logged, so exact log
             # retention keeps the writes it subsumes reconstructible.
-            self._write(Record.base(key, value, self._take_seqno()), _OP_PUT)
+            self._write(Record.base(key, value, self._take_seqno()), OP_PUT)
         return value
 
     def scan(
@@ -274,102 +209,38 @@ class PartitionedBLSM:
     # Scheduler (spring + greedy partition selection)
     # ------------------------------------------------------------------
 
-    def _write(self, record: Record, op: str) -> None:
-        self._check_open()
-        value = record.value if op != _OP_DELETE else None
-        self.stasis.logical_log.log(record.seqno, op, record.key, value)
-        self._memtable.put(record)
-        self._on_write(record.nbytes)
-
-    def _on_write(self, nbytes: int) -> None:
-        opts = self.options
-        fill = self._memtable.fill_fraction
-        self._gauge_fill.set(fill)
-        if fill <= opts.low_water:
-            self._gauge_pressure.set(0.0)
-            return
-        pressure = min(
-            1.0, (fill - opts.low_water) / (opts.high_water - opts.low_water)
-        )
-        self._gauge_pressure.set(pressure)
-        amplification = self._write_amplification_estimate()
-        budget = min(
-            opts.max_tick_bytes, int(2.0 * pressure * amplification * nbytes) + 1
-        )
-        self.merge_step(budget)
-        if self._memtable.fill_fraction >= 1.0:
-            self._ctr_memtable_full.inc()
-            self.runtime.trace.emit(
-                "memtable_full",
-                fill=self._memtable.fill_fraction,
-                c0_bytes=self._memtable.nbytes,
-            )
-            started = self.stasis.clock.now
-            with self.runtime.trace.span("stall", cause="merge_backpressure"):
-                while self._memtable.fill_fraction > opts.high_water:
-                    if self.merge_step(opts.max_tick_bytes):
-                        continue
-                    if self._wait_for_background():
-                        continue  # wait for the busy merge worker
-                    break
-            self._ctr_stalls.inc()
-            self._hist_stall.observe(self.stasis.clock.now - started)
-
     def merge_step(self, budget_bytes: int) -> int:
-        """Advance the active merge, starting the best one when idle.
+        """Advance the active merge, starting the best one when idle."""
+        return self._merge_step("any", budget_bytes)
 
-        With background merges, work is dispatched to the merge worker's
-        timeline; while the worker is still servicing previously
-        dispatched I/O, nothing is dispatched and 0 is returned.
-        """
-        if budget_bytes <= 0:
-            return 0
-        timeline = self._bg
-        if timeline is not None and timeline.busy(self.stasis.clock):
-            return 0
+    def force_drain(self, target_fill: float, chunk: int) -> None:
+        """Block the writer while C0 is above ``target_fill`` (stall path)."""
+        self._ctr_memtable_full.inc()
+        self.runtime.trace.emit(
+            "memtable_full",
+            fill=self._memtable.fill_fraction,
+            c0_bytes=self._memtable.nbytes,
+        )
+        self._stall(
+            "merge_backpressure",
+            lambda: self._memtable.fill_fraction > target_fill,
+            lambda: self.merge_step(chunk) > 0,
+        )
+
+    def _merge_job(self, gear: str) -> tuple[str, MergeProcess] | None:
         active = self._active_merge()
         if active is None:
             active = self._start_best_merge()
         if active is None:
-            return 0
+            return None
         partition, process = active
-        level = "c1c2" if process is partition.m12 else "c0c1"
-        if timeline is None:
-            started = self.stasis.clock.now
-            worked = process.step(budget_bytes)
-            seconds = self.stasis.clock.now - started
-        else:
-            timeline.catch_up(self.stasis.clock)
-            started = timeline.now
-            with self.stasis.clock.running_on(timeline):
-                worked = process.step(budget_bytes)
-                if process.done:
-                    self._finish_merge(partition, process)
-            seconds = timeline.now - started
-        if worked:
-            _passes, ctr_bytes, ctr_seconds = self._merge_obs[level]
-            ctr_bytes.inc(worked)
-            ctr_seconds.inc(seconds)
-            trace = self.runtime.trace
-            if trace.enabled:  # skip the kwargs build when tracing is off
-                trace.emit(
-                    "merge_progress",
-                    level=level,
-                    worked=worked,
-                    seconds=seconds,
-                    inprogress=process.inprogress,
-                )
-        if timeline is None and process.done:
-            self._finish_merge(partition, process)
-        return worked
+        return ("c1c2" if process is partition.m12 else "c0c1"), process
 
-    def _wait_for_background(self) -> bool:
-        """Advance the clock to the merge worker's completion, if busy."""
-        timeline = self._bg
-        if timeline is None or not timeline.busy(self.stasis.clock):
-            return False
-        self.stasis.clock.advance_to(timeline.now)
-        return True
+    def _finish_job(self, level: str, process: MergeProcess) -> None:
+        for partition in self._partitions:
+            if process is partition.m01 or process is partition.m12:
+                self._finish_merge(partition, process)
+                return
 
     def _active_merge(self) -> tuple[Partition, MergeProcess] | None:
         for partition in self._partitions:
@@ -454,7 +325,7 @@ class PartitionedBLSM:
         ratio = math.sqrt(max(1.0, data / self.options.c0_bytes))
         return min(self.options.max_r, max(self.options.min_r, ratio))
 
-    def _write_amplification_estimate(self) -> float:
+    def write_amplification_estimate(self) -> float:
         """Per-byte merge I/O under the greedy policy.
 
         Partitioning caps each merge's inputs at one partition's stack,
@@ -524,7 +395,7 @@ class PartitionedBLSM:
         )
         partition.m12 = MergeProcess(
             self.stasis,
-            newer=_frozen(partition.c1, chunk_pages),
+            newer=FrozenSource(partition.c1.iter_records(chunk_pages=chunk_pages)),
             older=partition.c2,
             tree_id=self._take_tree_id(),
             input_bytes=partition.c1.nbytes + c2_bytes,
@@ -638,12 +509,7 @@ class PartitionedBLSM:
         return total
 
     def _truncate_logical_log(self) -> None:
-        """Exact log retention (see :meth:`BLSM._truncate_logical_log`)."""
-        coverage = {
-            record.key: (record.coverage_start, record.seqno)
-            for record in self._memtable
-        }
-        self.stasis.logical_log.retain_ranges(coverage)
+        self._retain_log(self._memtable)
 
     # ------------------------------------------------------------------
     # Lifecycle and introspection
@@ -656,23 +522,9 @@ class PartitionedBLSM:
             if self.merge_step(1 << 30) == 0 and not self._wait_for_background():
                 break
 
-    def flush_log(self) -> None:
-        self.stasis.logical_log.force()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self.flush_log()
-        self.stasis.wal.force()
-        self._closed = True
-
     @property
     def partition_count(self) -> int:
         return len(self._partitions)
-
-    @property
-    def c0_fill_fraction(self) -> float:
-        return self._memtable.fill_fraction
 
     def partition_ranges(self) -> list[tuple[bytes, bytes | None]]:
         """The current partition boundaries, in key order."""
@@ -690,73 +542,12 @@ class PartitionedBLSM:
             )
         return count
 
-    def stats(self) -> dict[str, Any]:
-        summary = self.stasis.io_summary()
-        summary["partitions"] = len(self._partitions)
-        summary["c0"] = self._memtable.nbytes
-        summary["disk_bytes"] = sum(p.disk_bytes for p in self._partitions)
-        summary["clock_seconds"] = self.stasis.clock.now
-        return summary
-
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def recover(
-        cls,
-        stasis: Stasis,
-        options: BLSMOptions | None = None,
-        max_partition_bytes: int | None = None,
-    ) -> "PartitionedBLSM":
-        """Rebuild from the newest committed manifest plus log replay."""
-        tree = cls.__new__(cls)
-        tree.options = options if options is not None else BLSMOptions()
-        tree.stasis = stasis
-        tree.max_partition_bytes = (
-            max_partition_bytes
-            if max_partition_bytes is not None
-            else 4 * tree.options.c0_bytes
-        )
-        tree._memtable = MemTable(
-            tree.options.c0_bytes,
-            seed=tree.options.seed,
-            kind=tree.options.memtable,
-        )
-        tree._merge_epoch = 0
-        tree._closed = False
-        tree._bg = (
-            Timeline("merge-worker")
-            if tree.options.background_merges
-            else None
-        )
-        tree._init_obs()
-        manifest = stasis.recover_manifest()
-        tree._next_seqno = manifest["next_seqno"]
-        tree._next_tree_id = manifest["next_tree_id"]
-        tree._partitions = [
-            Partition(
-                lo=desc["lo"],
-                hi=desc["hi"],
-                c1=tree._rebuild_component(desc["c1"]),
-                c2=tree._rebuild_component(desc["c2"]),
-            )
-            for desc in manifest["partitions"]
-        ]
-        tree._free_orphan_extents()
-        for record in stasis.logical_log.replay():
-            if record.op == _OP_DELETE:
-                tree._memtable.put(Record.tombstone(record.key, record.seqno))
-            elif record.op == _OP_DELTA:
-                tree._memtable.put(
-                    Record.delta(record.key, record.value, record.seqno)
-                )
-            else:
-                tree._memtable.put(
-                    Record.base(record.key, record.value, record.seqno)
-                )
-            tree._next_seqno = max(tree._next_seqno, record.seqno + 1)
-        return tree
+    def _layout_stats(self) -> dict[str, Any]:
+        return {
+            "partitions": len(self._partitions),
+            "c0": self._memtable.nbytes,
+            "disk_bytes": sum(p.disk_bytes for p in self._partitions),
+        }
 
     def __repr__(self) -> str:
         return (
@@ -769,27 +560,6 @@ class PartitionedBLSM:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise EngineClosedError()
-
-    def _take_seqno(self) -> int:
-        seqno = self._next_seqno
-        self._next_seqno += 1
-        return seqno
-
-    def _take_tree_id(self) -> int:
-        tree_id = self._next_tree_id
-        self._next_tree_id += 1
-        return tree_id
-
-    @staticmethod
-    def _collect(record: Record | None, versions: list[Record]) -> bool:
-        if record is None:
-            return False
-        versions.append(record)
-        return not record.is_delta
 
     def _partition_index(self, key: bytes) -> int:
         los = [partition.lo for partition in self._partitions]
@@ -808,38 +578,42 @@ class PartitionedBLSM:
                 {
                     "lo": p.lo,
                     "hi": p.hi,
-                    "c1": self._describe(p.c1),
-                    "c2": self._describe(p.c2),
+                    "c1": describe_component(p.c1),
+                    "c2": describe_component(p.c2),
                 }
                 for p in self._partitions
             ),
         }
 
-    def _maybe_persist_bloom(self, component: SSTable | None) -> None:
-        if component is not None and self.options.persist_bloom_filters:
-            from repro.sstable.bloom_store import persist_bloom
 
-            persist_bloom(self.stasis, component)
+class GreedySpringScheduler(MergeScheduler):
+    """The spring of Section 4.3 over the greedy partition selector.
 
-    def _describe(self, component: SSTable | None) -> dict[str, Any] | None:
-        return describe_component(component)
+    Merges pause while C0 sits below the low water mark; above it every
+    write pays merge work proportional to C0's displacement, and a full
+    C0 blocks the writer until it drains below the high water mark.  One
+    merge runs at a time, chosen by :meth:`PartitionedBLSM.merge_step`.
+    """
 
-    def _rebuild_component(self, desc: dict[str, Any] | None) -> SSTable | None:
-        return rebuild_component(self.stasis, desc, self.options)
+    def attach(self, tree: "PartitionedBLSM") -> None:
+        super().attach(tree)
+        self._gauge_pressure = tree.runtime.metrics.gauge("scheduler.pressure")
 
-    def _free_orphan_extents(self) -> None:
-        live = set()
-        for partition in self._partitions:
-            for component in (partition.c1, partition.c2):
-                live.update(component_extents(describe_component(component)))
-        for extent in self.stasis.regions.allocated_extents:
-            if extent not in live:
-                for page_id in range(extent.start, extent.end):
-                    self.stasis.pagefile.free_page(page_id)
-                self.stasis.regions.free(extent)
-
-
-def _frozen(table: SSTable, chunk_pages: int):
-    from repro.core.merge import FrozenSource
-
-    return FrozenSource(table.iter_records(chunk_pages=chunk_pages))
+    def on_write(self, nbytes: int) -> None:
+        tree = self.tree
+        opts = tree.options
+        fill = tree.c0_fill_fraction
+        if fill <= opts.low_water:
+            self._gauge_pressure.set(0.0)
+            return
+        pressure = min(
+            1.0, (fill - opts.low_water) / (opts.high_water - opts.low_water)
+        )
+        self._gauge_pressure.set(pressure)
+        budget = min(
+            opts.max_tick_bytes,
+            int(2.0 * pressure * tree.write_amplification_estimate() * nbytes) + 1,
+        )
+        tree.merge_step(budget)
+        if tree.c0_fill_fraction >= 1.0:
+            tree.force_drain(opts.high_water, opts.max_tick_bytes)

@@ -40,13 +40,10 @@ implementation paces every compaction policy (docs/compaction.md).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.compaction.tree import CompactionTree
-    from repro.core.tree import BLSM
-
-    MergeHost = Union["BLSM", "CompactionTree"]
+    from repro.core.frontend import LSMFrontEnd as MergeHost
 
 
 class MergeScheduler(ABC):

@@ -32,6 +32,7 @@ from repro.baselines import (
     LevelDBEngine,
     PartitionedBLSMEngine,
 )
+from repro.core.compaction import make_tree, recover_tree
 from repro.core.options import BLSMOptions
 from repro.faults.plan import FaultPlan
 from repro.shard import ShardedEngine, make_partitioner
@@ -257,21 +258,34 @@ def build_engine(
 # Crash-harness surface (raw trees over one serial access sequence)
 # ----------------------------------------------------------------------
 
+_CRASH_PARTITION_BYTES = 24 * 1024
+
+#: crash engine -> (compaction policy, :func:`make_tree` layout keywords)
+_CRASH_TREES: dict[str, tuple[str, dict[str, Any]]] = {
+    "blsm": ("blsm3", {}),
+    "partitioned": (
+        "blsm3",
+        {"partitioned": True, "max_partition_bytes": _CRASH_PARTITION_BYTES},
+    ),
+    "leveled": ("leveled", {}),
+    "tiered": ("tiered", {}),
+    "lazy-leveled": ("lazy-leveled", {}),
+}
+
 #: Engines the crash-point enumeration can drive: their construction
 #: accepts a shared FaultPlan and all device traffic forms one serial
 #: access sequence (which is why striped and sharded engines — N
 #: independent device sets — cannot appear here).
-CRASH_ENGINE_NAMES: tuple[str, ...] = (
-    "blsm",
-    "partitioned",
-    "leveled",
-    "tiered",
-    "lazy-leveled",
-)
+CRASH_ENGINE_NAMES: tuple[str, ...] = tuple(_CRASH_TREES)
 
-_CRASH_PARTITION_BYTES = 24 * 1024
 
-_POLICY_CRASH_NAMES = ("leveled", "tiered", "lazy-leveled")
+def _crash_tree(name: str) -> tuple[str, dict[str, Any]]:
+    try:
+        return _CRASH_TREES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown engine {name!r}; expected one of {CRASH_ENGINE_NAMES}"
+        ) from None
 
 
 def crash_options(plan: FaultPlan | None, seed: int) -> BLSMOptions:
@@ -291,44 +305,12 @@ def crash_options(plan: FaultPlan | None, seed: int) -> BLSMOptions:
 
 def build_crash_tree(name: str, plan: FaultPlan | None, seed: int) -> Any:
     """A raw tree wired to ``plan`` for crash-point enumeration."""
-    if name == "blsm":
-        from repro.core.tree import BLSM
-
-        return BLSM(crash_options(plan, seed))
-    if name == "partitioned":
-        from repro.core.partitioned import PartitionedBLSM
-
-        return PartitionedBLSM(
-            crash_options(plan, seed),
-            max_partition_bytes=_CRASH_PARTITION_BYTES,
-        )
-    if name in _POLICY_CRASH_NAMES:
-        from repro.core.compaction import CompactionTree
-
-        return CompactionTree(
-            replace(crash_options(plan, seed), compaction_policy=name)
-        )
-    raise ValueError(
-        f"unknown engine {name!r}; expected one of {CRASH_ENGINE_NAMES}"
-    )
+    policy, layout = _crash_tree(name)
+    options = replace(crash_options(plan, seed), compaction_policy=policy)
+    return make_tree(options, **layout)
 
 
 def recover_crash_tree(name: str, stasis: Any, options: Any) -> Any:
     """Recover the matching tree type from a crashed substrate."""
-    if name == "blsm":
-        from repro.core.tree import BLSM
-
-        return BLSM.recover(stasis, options)
-    if name == "partitioned":
-        from repro.core.partitioned import PartitionedBLSM
-
-        return PartitionedBLSM.recover(
-            stasis, options, max_partition_bytes=_CRASH_PARTITION_BYTES
-        )
-    if name in _POLICY_CRASH_NAMES:
-        from repro.core.compaction import CompactionTree
-
-        return CompactionTree.recover(stasis, options)
-    raise ValueError(
-        f"unknown engine {name!r}; expected one of {CRASH_ENGINE_NAMES}"
-    )
+    _policy, layout = _crash_tree(name)
+    return recover_tree(stasis, options, **layout)

@@ -53,10 +53,7 @@ class EngineRuntime:
 
     def disk_busy_seconds(self) -> float:
         """Total device busy time across every registered disk."""
-        return sum(
-            self.metrics.value(f"disk.{disk.name}.busy_seconds")
-            for disk in self.disks
-        )
+        return sum(disk.stats.busy_seconds for disk in self.disks)
 
     def device_summary(self) -> list[dict[str, Any]]:
         """Per-device utilization and fg/bg attribution rows.
@@ -72,21 +69,16 @@ class EngineRuntime:
         )
         rows: list[dict[str, Any]] = []
         for disk in self.disks:
-            prefix = f"disk.{disk.name}"
-            busy = self.metrics.value(f"{prefix}.busy_seconds")
-            bg_busy = self.metrics.value(f"{prefix}.bg_busy_seconds")
+            stats = disk.stats
+            busy = stats.busy_seconds
             rows.append(
                 {
                     "disk": disk.name,
                     "busy_seconds": busy,
-                    "fg_busy_seconds": busy - bg_busy,
-                    "bg_busy_seconds": bg_busy,
-                    "fg_wait_seconds": self.metrics.value(
-                        f"{prefix}.fg_wait_seconds"
-                    ),
-                    "bg_wait_seconds": self.metrics.value(
-                        f"{prefix}.bg_wait_seconds"
-                    ),
+                    "fg_busy_seconds": busy - stats.bg_busy_seconds,
+                    "bg_busy_seconds": stats.bg_busy_seconds,
+                    "fg_wait_seconds": stats.fg_wait_seconds,
+                    "bg_wait_seconds": stats.bg_wait_seconds,
                     "utilization": busy / elapsed if elapsed > 0 else 0.0,
                     "backlog_seconds": max(
                         0.0, disk.busy_until - self.clock.now

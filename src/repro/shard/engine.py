@@ -29,12 +29,12 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, TypeVar
 
-from repro.baselines.blsm_engine import BLSMEngine
 from repro.baselines.interface import (
     KVEngine,
     WriteBatch,
     build_io_summary,
 )
+from repro.baselines.lsm_engine import BLSMEngine
 from repro.core.options import BLSMOptions, derive_shard_options
 from repro.errors import ShardFanoutError
 from repro.obs.runtime import EngineRuntime

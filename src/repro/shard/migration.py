@@ -982,7 +982,7 @@ def crash_and_recover(engine: "ShardedEngine") -> "ShardedEngine":
     through retirement.  Requires bLSM shards (``SYNC`` durability for
     acked-write guarantees, as everywhere else in the crash harness).
     """
-    from repro.baselines.blsm_engine import BLSMEngine
+    from repro.baselines.lsm_engine import BLSMEngine
     from repro.core.tree import BLSM
     from repro.shard.engine import ShardedEngine
 

@@ -305,6 +305,9 @@ class SimDisk:
         self.stats.queue_wait_seconds += wait
         if background:
             self.stats.bg_busy_seconds += service
+            self.stats.bg_wait_seconds += wait
+        else:
+            self.stats.fg_wait_seconds += wait
         self._head = offset + nbytes
         if self._obs:
             if not sequential:
@@ -353,9 +356,16 @@ class SimDisk:
         timeline = self.clock.active_timeline
         if timeline is not None:
             timeline.advance_to(timeline.now + seconds)
+            self.stats.bg_busy_seconds += seconds
         else:
             self.clock.advance(seconds)
         self.stats.busy_seconds += seconds
+        if self._obs:
+            self._ctr_busy.inc(seconds)
+            if timeline is not None:
+                self._ctr_bg_busy.inc(seconds)
+            else:
+                self._ctr_fg_busy.inc(seconds)
 
     def sync_barrier(self) -> None:
         """Forget head-sequentiality after a durability barrier.
@@ -508,6 +518,9 @@ class StripedDisk(SimDisk):
         self.stats.queue_wait_seconds += wait_max
         if background:
             self.stats.bg_busy_seconds += service
+            self.stats.bg_wait_seconds += wait_max
+        else:
+            self.stats.fg_wait_seconds += wait_max
         if self._obs:
             if seeked:
                 self._ctr_seeks.inc(seeked)

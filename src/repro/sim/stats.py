@@ -27,6 +27,14 @@ class IOStats:
             the remainder was synchronous foreground service.
         queue_wait_seconds: total time requesters spent queued behind the
             device's busy horizon before their access started.
+        fg_wait_seconds: the share of ``queue_wait_seconds`` foreground
+            requesters spent queued (behind background merge I/O).
+        bg_wait_seconds: the share background timelines spent queued.
+
+    These counters are the device accounting every report reads
+    (``Stasis.io_summary``, ``EngineRuntime.device_summary``); they are
+    kept whether or not observability is on, and the ``disk.*`` metrics
+    mirror them when it is.
     """
 
     seeks: int = 0
@@ -37,6 +45,8 @@ class IOStats:
     busy_seconds: float = 0.0
     bg_busy_seconds: float = 0.0
     queue_wait_seconds: float = 0.0
+    fg_wait_seconds: float = 0.0
+    bg_wait_seconds: float = 0.0
 
     def snapshot(self) -> "IOStats":
         """Return an independent copy of the current counters."""

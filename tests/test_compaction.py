@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.baselines.compaction_engine import CompactionEngine
+from repro.baselines import CompactionEngine
 from repro.core.compaction import (
     POLICY_NAMES,
     CompactionTree,

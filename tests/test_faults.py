@@ -446,7 +446,7 @@ def test_jittered_retry_replay_is_bit_for_bit_deterministic():
     # faulted trace under the same policy must reproduce the identical
     # backoff schedule, virtual-clock timeline, and final state digest.
     def run(policy_seed):
-        from repro.baselines.blsm_engine import BLSMEngine
+        from repro.baselines import BLSMEngine
 
         engine = BLSMEngine(
             BLSMOptions(

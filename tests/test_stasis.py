@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.engines import build_engine
 from repro.errors import RecoveryError
+from repro.memtable.memtable import MemTable
 from repro.sim import DiskModel
 from repro.storage import DurabilityMode, Stasis
-from repro.storage.recovery import recover
+from repro.storage.recovery import replay_logical_log
 
 
 def test_default_construction():
@@ -71,16 +73,18 @@ def test_wal_stays_bounded_across_many_merges():
     assert durable_manifests < 40
 
 
-def test_recover_helper_replays_logical_log():
+def test_replay_helper_rebuilds_memtable_from_logical_log():
     stasis = Stasis(durability=DurabilityMode.SYNC)
     stasis.commit_manifest({"version": 1})
     stasis.logical_log.log(0, "put", b"a", b"1")
     stasis.logical_log.log(1, "put", b"b", b"2")
+    stasis.logical_log.log(2, "delete", b"a", None)
     stasis.crash()
-    seen = []
-    manifest = recover(stasis, seen.append)
-    assert manifest == {"version": 1}
-    assert [record.key for record in seen] == [b"a", b"b"]
+    assert stasis.recover_manifest() == {"version": 1}
+    memtable = MemTable(1 << 20)
+    assert replay_logical_log(stasis, memtable) == 3
+    assert [(r.key, r.seqno) for r in memtable] == [(b"a", 2), (b"b", 1)]
+    assert memtable.get(b"a").is_tombstone
 
 
 def test_logs_live_on_separate_device():
@@ -95,3 +99,28 @@ def test_io_summary_keys():
     summary = stasis.io_summary()
     for key in ("data_seeks", "data_bytes_read", "busy_seconds"):
         assert key in summary
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"background_merges": True, "durability": "group"}],
+    ids=["sync-merges", "background-merges"],
+)
+def test_io_summary_is_identical_with_observability_off(overrides):
+    # The summary reads each device's IOStats, which the devices keep
+    # whether or not the metrics registry is being fed.
+    summaries = []
+    for observability in (True, False):
+        engine = build_engine(
+            "blsm", c0_bytes=16 * 1024, cache_pages=16,
+            observability=observability, **overrides,
+        )
+        for i in range(3000):
+            engine.put(b"k%06d" % ((i * 7919) % 5000), b"v" * 500)
+        engine.flush()
+        summaries.append(engine.io_summary())
+        if not observability:
+            assert engine.seeks() > 0
+    on, off = summaries
+    assert on == off
+    assert on["data_bytes_written"] > 0 and on["log_bytes_written"] > 0
