@@ -18,6 +18,8 @@ import hashlib
 import math
 
 _blake2b = hashlib.blake2b
+_from_bytes = int.from_bytes
+_MASK64 = (1 << 64) - 1
 
 _MIN_BITS = 64
 
@@ -87,9 +89,11 @@ class BloomFilter:
         # loop: adds and probes run per merged record and per point read,
         # so the k-probe loop is hot.  Bit positions are identical to the
         # closed form (h1 + i*h2 mod m).
-        digest = _blake2b(key, digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "little")
-        h2 = int.from_bytes(digest[8:], "little") | 1  # odd => full-period
+        # h1 is the digest's first 8 bytes and h2 its last 8, each read
+        # little-endian, taken from one conversion of all 16.
+        hashes = _from_bytes(_blake2b(key, digest_size=16).digest(), "little")
+        h1 = hashes & _MASK64
+        h2 = (hashes >> 64) | 1  # odd => full-period
         bits = self._bits
         nbits = self._nbits
         for _ in range(self._nhashes):
@@ -99,9 +103,9 @@ class BloomFilter:
         self._ninserted += 1
 
     def __contains__(self, key: bytes) -> bool:
-        digest = _blake2b(key, digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "little")
-        h2 = int.from_bytes(digest[8:], "little") | 1  # odd => full-period
+        hashes = _from_bytes(_blake2b(key, digest_size=16).digest(), "little")
+        h1 = hashes & _MASK64
+        h2 = (hashes >> 64) | 1  # odd => full-period
         bits = self._bits
         nbits = self._nbits
         for _ in range(self._nhashes):
@@ -135,13 +139,6 @@ class BloomFilter:
             return 0.0
         fill = 1.0 - math.exp(-self._nhashes * self._ninserted / self._nbits)
         return fill**self._nhashes
-
-    @staticmethod
-    def _hash_pair(key: bytes) -> tuple[int, int]:
-        digest = hashlib.blake2b(key, digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "little")
-        h2 = int.from_bytes(digest[8:], "little") | 1  # odd => full-period
-        return h1, h2
 
     def __repr__(self) -> str:
         return (

@@ -20,19 +20,44 @@ from repro.storage.region import Extent
 from repro.storage.stasis import Stasis
 
 
+class ComponentDescriptor(dict):
+    """A manifest descriptor that renders itself once.
+
+    The WAL sizes a manifest record as the length of its ``repr``
+    (:meth:`~repro.storage.wal.WriteAheadLog.append`), and a descriptor
+    carries its component's whole block index.  Descriptors are cached
+    on their immutable :class:`SSTable` and never mutated, so the
+    rendered form is memoized: a manifest commit renders only the
+    components installed since the previous commit, while the record's
+    size stays exactly that of the plain ``dict`` rendering.
+    """
+
+    __slots__ = ("_rendered",)
+
+    def __repr__(self) -> str:
+        try:
+            return self._rendered
+        except AttributeError:
+            self._rendered = rendered = dict.__repr__(self)
+            return rendered
+
+
 def describe_component(table: SSTable | None) -> dict[str, Any] | None:
     """The manifest entry for one component (``None`` for an empty slot)."""
     if table is None:
         return None
-    return {
-        "tree_id": table.tree_id,
-        "blocks": tuple(table.blocks),
-        "extents": tuple(table.extents),
-        "key_count": table.key_count,
-        "nbytes": table.nbytes,
-        "max_key": table.max_key,
-        "bloom": bloom_descriptor(table),
-    }
+    desc = table.descriptor
+    if desc is None:
+        desc = table.descriptor = ComponentDescriptor(
+            tree_id=table.tree_id,
+            blocks=tuple(table.blocks),
+            extents=tuple(table.extents),
+            key_count=table.key_count,
+            nbytes=table.nbytes,
+            max_key=table.max_key,
+            bloom=bloom_descriptor(table),
+        )
+    return desc
 
 
 def rebuild_component(

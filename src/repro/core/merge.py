@@ -17,10 +17,8 @@ from __future__ import annotations
 from typing import Callable, Protocol
 
 from repro.memtable.memtable import MemTable
-from repro.memtable.snowshovel import SnowshovelCursor
-from repro.records import Record
+from repro.records import Record, RecordKind, fold
 from repro.sstable.builder import SSTableBuilder
-from repro.sstable.iterator import merge_records
 from repro.sstable.reader import SSTable
 from repro.storage.stasis import Stasis
 
@@ -65,77 +63,65 @@ class FrozenSource:
         return record
 
 
-class SnowshovelSource:
-    """Drains the *live* memtable via a snowshovel cursor.
+class RangeSnowshovelSource:
+    """Drains the *live* memtable's keys in ``[lo, hi)`` (Section 4.2).
 
     ``peek`` reflects the memtable's current contents, so records inserted
     ahead of the cursor while the merge runs join the current pass —
     that is snowshoveling.  The pass ends when nothing at or after the
-    cursor remains.
-    """
-
-    def __init__(self, memtable: MemTable) -> None:
-        self._cursor = SnowshovelCursor(memtable)
-        self._memtable = memtable
-
-    def peek(self) -> Record | None:
-        cursor = self._cursor.cursor
-        if cursor is None:
-            key = self._memtable.first_key()
-        else:
-            key = self._memtable.ceiling_key(cursor)
-        return self._memtable.get(key) if key is not None else None
-
-    def pop(self) -> Record:
-        record = self._cursor.next_record()
-        if record is None:
-            raise StopIteration("snowshovel run exhausted")
-        return record
-
-    def advance_past(self, key: bytes) -> None:
-        """Keep the run cursor at the merge's output position."""
-        self._cursor.advance_past(key)
-
-
-class RangeSnowshovelSource:
-    """Snowshovel source confined to one partition's key range.
-
-    Partitioned merges (Section 4.2.2) consume only the C0 records that
-    fall in the partition being merged: ``[lo, hi)``.  Records outside
+    cursor remains in range.  Partitioned merges (Section 4.2.2) consume
+    only the C0 records of the partition being merged; records outside
     the range stay in C0 for other partitions' merges.
+
+    Each record costs two memtable searches: ``peek`` finds it (one
+    ceiling search) and ``pop`` removes the key that peek found.  ``pop``
+    therefore relies on the memtable not changing between the two calls,
+    which :meth:`MergeProcess.step` guarantees; a ``pop`` with no
+    preceding ``peek`` searches for itself.
     """
 
     def __init__(self, memtable: MemTable, lo: bytes, hi: bytes | None) -> None:
         self._memtable = memtable
-        self._lo = lo
         self._hi = hi
         self._cursor: bytes = lo
-
-    def _next_key(self) -> bytes | None:
-        key = self._memtable.ceiling_key(self._cursor)
-        if key is None:
-            return None
-        if self._hi is not None and key >= self._hi:
-            return None
-        return key
+        self._peeked: Record | None = None
 
     def peek(self) -> Record | None:
-        key = self._next_key()
-        return self._memtable.get(key) if key is not None else None
+        record = self._memtable.ceiling(self._cursor)
+        if record is not None and self._hi is not None and record.key >= self._hi:
+            record = None
+        self._peeked = record
+        return record
 
     def pop(self) -> Record:
-        key = self._next_key()
-        if key is None:
-            raise StopIteration("range snowshovel exhausted")
+        head = self._peeked if self._peeked is not None else self.peek()
+        if head is None:
+            raise StopIteration("snowshovel run exhausted")
+        self._peeked = None
+        key = head.key
         record = self._memtable.remove(key)
         assert record is not None
-        self._cursor = key + b"\x00"
+        self._cursor = key + b"\x00"  # strictly-greater successor key
         return record
 
     def advance_past(self, key: bytes) -> None:
+        """Keep the run cursor at the merge's output position.
+
+        The run cursor tracks the *last value written* by the merge
+        (Section 4.2), which may come from the downstream tree rather
+        than C0; keys arriving behind it must wait for the next run or
+        the merge output would go out of order.
+        """
         successor = key + b"\x00"
         if successor > self._cursor:
             self._cursor = successor
+
+
+class SnowshovelSource(RangeSnowshovelSource):
+    """Snowshovel source over the whole keyspace (the C0:C1 merge)."""
+
+    def __init__(self, memtable: MemTable) -> None:
+        super().__init__(memtable, b"", None)
 
 
 class MergeProcess:
@@ -208,17 +194,78 @@ class MergeProcess:
 
         Completing the merge (building the output component) happens
         automatically when both sources drain.
+
+        The two source heads are peeked once on entry and then cached:
+        a source is re-peeked only after it was popped.  That is sound
+        because nothing mutates C0 inside a step — application writes
+        land between steps, never during one — so a snowshovel head
+        found on entry stays the smallest key at or after the cursor
+        until it is popped (``advance_past`` only moves the cursor up to
+        a key below that head).  Device calls keep their order: newer
+        pop, older pop (which may read the older source's next chunk),
+        then the builder add (which may flush output pages).
         """
         if self.done:
             return 0
+        newer = self._newer
+        older = self._older
+        newer_head = newer.peek()
+        older_head = older.peek()
+        track_overlay = self._track_overlay
+        overlay = self.overlay
+        drop_tombstones = self._drop_tombstones
+        split_bytes = self._split_output_bytes
+        builder = self._builder
+        low = self.min_seqno_consumed
+        high = self.max_seqno_consumed
         consumed = 0
-        while consumed < budget_bytes:
-            newer_head = self._newer.peek()
-            older_head = self._older.peek()
-            if newer_head is None and older_head is None:
-                self._complete()
-                break
-            consumed += self._emit_next(newer_head, older_head)
+        newer_consumed = 0
+        try:
+            while consumed < budget_bytes:
+                if newer_head is not None and (
+                    older_head is None or newer_head.key <= older_head.key
+                ):
+                    record = newer.pop()
+                    nbytes = record.nbytes
+                    consumed += nbytes
+                    newer_consumed += nbytes
+                    seqno = record.seqno
+                    if low is None or seqno < low:
+                        low = seqno
+                    if high is None or seqno > high:
+                        high = seqno
+                    if track_overlay:
+                        overlay[record.key] = record
+                    if older_head is not None and older_head.key == record.key:
+                        shadowed = older.pop()
+                        consumed += shadowed.nbytes
+                        record = fold(record, shadowed)
+                        older_head = older.peek()
+                    newer_head = newer.peek()
+                elif older_head is not None:
+                    record = older.pop()
+                    consumed += record.nbytes
+                    if track_overlay:
+                        # The snowshovel cursor must not fall behind the
+                        # merge's output position; the cached newer head is
+                        # above this key, so it stays valid.
+                        newer.advance_past(record.key)  # type: ignore[attr-defined]
+                    older_head = older.peek()
+                else:
+                    self._complete()
+                    break
+                if drop_tombstones and record.kind is RecordKind.TOMBSTONE:
+                    continue
+                builder.add(record)
+                if split_bytes is not None and builder.nbytes >= split_bytes:
+                    self._rotate_builder()
+                    builder = self._builder
+        finally:
+            # Written back even if a device error escapes mid-step:
+            # the records popped so far have left their sources.
+            self.min_seqno_consumed = low
+            self.max_seqno_consumed = high
+            self.newer_bytes_read += newer_consumed
         self.bytes_read += consumed
         return consumed
 
@@ -234,43 +281,6 @@ class MergeProcess:
         if not self.done:
             self.done = True
             self._builder.abandon()
-
-    def _emit_next(self, newer_head: Record | None, older_head: Record | None) -> int:
-        """Emit the next output record; return input bytes consumed."""
-        consumed = 0
-        group: list[Record] = []
-        take_newer = newer_head is not None and (
-            older_head is None or newer_head.key <= older_head.key
-        )
-        take_older = older_head is not None and (
-            newer_head is None or older_head.key <= newer_head.key
-        )
-        if take_newer:
-            record = self._newer.pop()
-            group.append(record)
-            nbytes = record.nbytes
-            consumed += nbytes
-            self.newer_bytes_read += nbytes
-            self._note_seqno(record.seqno)
-            if self._track_overlay:
-                self.overlay[record.key] = record
-        if take_older:
-            record = self._older.pop()
-            group.append(record)
-            consumed += record.nbytes
-            if self._track_overlay:
-                # The snowshovel cursor must not fall behind the merge's
-                # output position (see SnowshovelCursor.advance_past).
-                self._newer.advance_past(record.key)  # type: ignore[attr-defined]
-        merged = merge_records(group, drop_tombstones=self._drop_tombstones)
-        if merged is not None:
-            self._builder.add(merged)
-            if (
-                self._split_output_bytes is not None
-                and self._builder.nbytes >= self._split_output_bytes
-            ):
-                self._rotate_builder()
-        return consumed
 
     def _new_builder(self, tree_id: int, expected_bytes: int) -> SSTableBuilder:
         return SSTableBuilder(
@@ -306,12 +316,6 @@ class MergeProcess:
             if hi is not None and key >= hi:
                 break
             yield self.overlay[key]
-
-    def _note_seqno(self, seqno: int) -> None:
-        if self.min_seqno_consumed is None or seqno < self.min_seqno_consumed:
-            self.min_seqno_consumed = seqno
-        if self.max_seqno_consumed is None or seqno > self.max_seqno_consumed:
-            self.max_seqno_consumed = seqno
 
     def _complete(self) -> None:
         table = self._builder.finish()

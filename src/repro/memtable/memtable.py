@@ -107,6 +107,15 @@ class MemTable:
         pair = self._tree.ceiling(key)
         return pair[0] if pair else None
 
+    def ceiling(self, key: bytes) -> Record | None:
+        """Resident record with the smallest key >= ``key``, or ``None``.
+
+        One search where ``ceiling_key`` plus ``get`` costs two; the
+        snowshovel merge peeks C0 through it once per record.
+        """
+        pair = self._tree.ceiling(key)
+        return pair[1] if pair else None
+
     def __iter__(self) -> Iterator[Record]:
         for _, record in self._tree:
             yield record

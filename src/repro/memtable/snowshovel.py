@@ -13,8 +13,10 @@ workloads.
 
 Two implementations live here:
 
-* :class:`SnowshovelCursor` — the incremental cursor the C0:C1 merge uses
-  against the live memtable.
+* :class:`SnowshovelCursor` — the incremental cursor over a live
+  memtable, run by run.  The merges drain C0 through
+  :class:`repro.core.merge.SnowshovelSource`, which applies the same
+  cursor rule with one C0 search per peek.
 * :func:`replacement_selection_runs` — the classic offline tournament-sort
   formulation over a bounded heap, used by the ablation benchmark to
   measure run lengths under sorted / random / reverse arrival orders.

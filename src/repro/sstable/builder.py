@@ -88,20 +88,24 @@ class SSTableBuilder:
         """Append one record; keys must be strictly increasing."""
         if self._finished:
             raise StorageError("builder already finished")
-        if self._last_key is not None and record.key <= self._last_key:
+        key = record.key
+        last_key = self._last_key
+        if last_key is not None and key <= last_key:
             raise StorageError(
                 f"records must arrive in strictly increasing key order "
-                f"({record.key!r} after {self._last_key!r})"
+                f"({key!r} after {last_key!r})"
             )
-        self._last_key = record.key
+        self._last_key = key
         self._current.append(record)
         disk_bytes = max(8, int(record.nbytes * self._compression_ratio))
-        self._current_bytes += disk_bytes
+        current_bytes = self._current_bytes + disk_bytes
+        self._current_bytes = current_bytes
         self._key_count += 1
         self._nbytes += disk_bytes
-        if self._bloom is not None:
-            self._bloom.add(record.key)
-        if self._current_bytes >= self._page_size:
+        bloom = self._bloom
+        if bloom is not None:
+            bloom.add(key)
+        if current_bytes >= self._page_size:
             self._close_block()
 
     def finish(self) -> SSTable | None:

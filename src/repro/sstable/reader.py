@@ -66,12 +66,26 @@ class SSTable:
         self._max_key = max_key
         self._first_keys = [block.first_key for block in blocks]
         self._freed = False
-        self.bloom_extent: Extent | None = None
-        """Where the persisted Bloom filter lives, if it was persisted."""
+        self._bloom_extent: Extent | None = None
+        self.descriptor: dict | None = None
+        """Cached manifest descriptor (built by
+        :func:`repro.core.components.describe_component`); everything it
+        records is immutable except :attr:`bloom_extent`, whose setter
+        clears it."""
         metrics = stasis.runtime.metrics
         self._ctr_bloom_negative = metrics.counter("bloom.negatives")
         self._ctr_bloom_hit = metrics.counter("bloom.hits")
         self._ctr_bloom_false_positive = metrics.counter("bloom.false_positives")
+
+    @property
+    def bloom_extent(self) -> Extent | None:
+        """Where the persisted Bloom filter lives, if it was persisted."""
+        return self._bloom_extent
+
+    @bloom_extent.setter
+    def bloom_extent(self, extent: Extent | None) -> None:
+        self._bloom_extent = extent
+        self.descriptor = None
 
     @property
     def min_key(self) -> bytes | None:

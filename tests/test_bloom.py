@@ -1,5 +1,6 @@
 """Unit tests for the Bloom filter."""
 
+import hashlib
 import random
 
 import pytest
@@ -92,3 +93,30 @@ def test_counts_insertions():
     bloom.add(b"a")
     bloom.add(b"a")
     assert bloom.ninserted == 2
+
+
+@pytest.mark.parametrize(
+    "nbits,nhashes,keys,digest",
+    [
+        (
+            4793,
+            7,
+            [b"key-%05d" % i for i in range(500)],
+            "b4a096f4b14595fd65e7b59c57d0604de8d9cc49c9abe079cc8255be6e3b4d66",
+        ),
+        (
+            1000003,
+            5,
+            [bytes([i % 256]) * (i % 17) for i in range(300)],
+            "232cab2b894f881af8ca34e825c1db220ff827b2fa85d7eb7d3385a4a6e939e6",
+        ),
+    ],
+)
+def test_bit_positions_are_pinned(nbits, nhashes, keys, digest):
+    # Persisted filters (Section 4.4.3) are reloaded bit for bit, so the
+    # probe positions of a key must never change.
+    bloom = BloomFilter(nbits, nhashes)
+    for key in keys:
+        bloom.add(key)
+    assert hashlib.sha256(bloom.to_bytes()).hexdigest() == digest
+    assert all(key in bloom for key in keys)
