@@ -18,7 +18,8 @@ The package provides:
 * :mod:`repro.obs` — the observability core every engine reports
   through (metrics registry, trace recorder, engine runtime);
 * :mod:`repro.faults` — seeded fault injection (faulty devices, retry
-  policies, crash-point enumeration) for recovery testing;
+  policies) for recovery testing, swept by the crash driver in
+  :mod:`repro.testing.composer`;
 * :mod:`repro.analysis` — the paper's analytical models (read fanout,
   Figure 2, Table 2).
 

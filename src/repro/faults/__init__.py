@@ -1,4 +1,4 @@
-"""Fault injection: faulty devices, retry hardening, crash-point harness.
+"""Fault injection: faulty devices and retry hardening.
 
 The package models the failure modes a production LSM must survive
 (Section 4.4.2's recovery discussion): transient device errors, torn
@@ -8,9 +8,8 @@ corruption, and latency spikes.  Faults come from a seeded, deterministic
 :class:`RetryPolicy`/:class:`RetryExecutor` pair absorbs the transient
 ones with backoff charged to the virtual clock.
 
-The crash-point enumeration harness lives in
-:mod:`repro.faults.crashpoints` (imported explicitly, not re-exported
-here, because it depends on the engine layer above this package).
+The crash-point sweep that drives these plans lives in
+:mod:`repro.testing.composer`, above the engine layer.
 """
 
 from repro.faults.disk import FaultyDisk

@@ -4,7 +4,7 @@ A :class:`FaultPlan` is the single source of truth for every injected
 fault in one storage substrate.  Both of a :class:`~repro.storage.stasis.
 Stasis`'s devices consult the same plan, so the plan's access counter is
 a global ordering over all device I/O — exactly the boundary stream the
-crash-point enumeration harness (`repro.faults.crashpoints`) walks.
+crash-point sweep (`repro.testing.composer`) walks.
 
 Fault kinds (see ``docs/fault-injection.md`` for the taxonomy):
 

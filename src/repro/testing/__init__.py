@@ -11,9 +11,10 @@ agree with it:
 * the **trace harness** (PR 5): a serializable operation-trace format
   (:mod:`~repro.testing.trace`), a differential executor replaying one
   trace through every registry engine against a dictionary oracle
-  (:mod:`~repro.testing.differential`), a fault-schedule composer
-  overlaying crash points onto traces
-  (:mod:`~repro.testing.composer`), a greedy trace minimizer filing
+  (:mod:`~repro.testing.differential`), the one crash driver
+  overlaying crash points onto traces (:mod:`~repro.testing.composer`)
+  with every crash scenario written as a trace
+  (:mod:`~repro.testing.scenarios`), a greedy trace minimizer filing
   shrunk repros into ``tests/corpus/`` (:mod:`~repro.testing.minimize`),
   and the ``repro fuzz`` orchestration loop
   (:mod:`~repro.testing.harness`).
@@ -27,6 +28,7 @@ from repro.testing.composer import (
     CrashTraceOutcome,
     CrashTraceReport,
     enumerate_trace_crash_points,
+    format_crash_report,
     run_crash_trace,
     trace_access_count,
 )
@@ -55,6 +57,11 @@ from repro.testing.model import (
     run_model_workload,
     verify_against_model,
 )
+from repro.testing.scenarios import (
+    group_commit_trace,
+    migration_trace,
+    scripted_trace,
+)
 from repro.testing.trace import (
     OP_KINDS,
     TRACE_FORMAT,
@@ -82,9 +89,12 @@ __all__ = [
     "crash_recover_check",
     "default_fuzz_configs",
     "enumerate_trace_crash_points",
+    "format_crash_report",
     "format_fuzz_report",
     "fuzz",
     "generate_trace",
+    "group_commit_trace",
+    "migration_trace",
     "minimize_trace",
     "replay_corpus",
     "replay_corpus_file",
@@ -92,6 +102,7 @@ __all__ = [
     "run_differential",
     "run_model_workload",
     "run_trace",
+    "scripted_trace",
     "trace_access_count",
     "verify_against_model",
     "write_corpus_file",

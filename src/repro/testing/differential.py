@@ -51,8 +51,9 @@ class TraceOracle:
     * ``get`` returns the live value or ``None``; ``scan`` returns the
       sorted live items of ``[lo, hi)`` up to ``limit``; ``multi_get``
       returns values aligned with its keys;
-    * ``batch`` applies its mutations in order; ``merge_work`` and
-      ``crash`` never change logical state.
+    * ``batch`` and ``commit`` apply their mutations in order;
+      ``merge_work``, ``flush`` and ``crash`` never change logical
+      state.
     """
 
     def __init__(self) -> None:
@@ -79,7 +80,7 @@ class TraceOracle:
         if op.kind in ("put", "delete", "delta"):
             self.apply_mutation(op.kind, op.key, op.value)
             return None
-        if op.kind == "batch":
+        if op.kind in ("batch", "commit"):
             for mutation, key, value in op.mutations:
                 self.apply_mutation(mutation, key, value)
             return None
@@ -94,7 +95,7 @@ class TraceOracle:
                 if key >= op.key and (op.hi is None or key < op.hi)
             )
             return rows if op.limit is None else rows[: op.limit]
-        return None  # merge_work / crash: no logical effect
+        return None  # merge_work / flush / crash: no logical effect
 
     def items(self) -> list[tuple[bytes, bytes]]:
         """The full live state, sorted — the final-scan expectation."""
@@ -121,56 +122,66 @@ class Divergence:
         return f"{line} — {self.detail}" if self.detail else line
 
 
-def _drive_merge(engine: KVEngine, budget: int) -> None:
+def drive_merge(store: Any, budget: int) -> None:
     """Honour a ``merge_work`` marker on whatever machinery exists.
 
-    Single bLSM trees step their merge processes by the byte budget (the
-    crash-during-merge surface); engines without an explicit merge-step
-    API — including the sharded router, whose fan-out must stay the only
-    thing advancing shard clocks — get a ``flush`` instead, which is the
-    closest state-neutral "push background work" lever they expose.
+    ``store`` is an engine or a raw tree.  bLSM-family trees step their
+    merge processes by the byte budget (the crash-during-merge surface);
+    engines without an explicit merge-step API — including the sharded
+    router, whose fan-out must stay the only thing advancing shard
+    clocks — get a ``flush`` instead, which is the closest state-neutral
+    "push background work" lever they expose.
     """
-    tree = getattr(engine, "tree", None)
-    step = None
-    if tree is not None:
-        step = getattr(tree, "step_m01", None) or getattr(
-            tree, "merge_step", None
-        )
+    tree = getattr(store, "tree", store)
+    step = getattr(tree, "step_m01", None) or getattr(tree, "merge_step", None)
     if step is not None:
         step(budget)
     else:
-        engine.flush()
+        store.flush()
+
+
+def write_mutation(
+    store: Any, kind: str, key: bytes, value: bytes | None
+) -> None:
+    """Apply one ``put``/``delete``/``delta`` through a store's point API."""
+    if kind == "put":
+        store.put(key, value or b"")
+    elif kind == "delete":
+        store.delete(key)
+    else:
+        store.apply_delta(key, value or b"")
+
+
+def _write_batch(mutations: Sequence[tuple[str, bytes, bytes | None]]) -> WriteBatch:
+    batch = WriteBatch()
+    for mutation, key, value in mutations:
+        if mutation == "put":
+            batch.put(key, value or b"")
+        elif mutation == "delete":
+            batch.delete(key)
+        else:
+            batch.apply_delta(key, value or b"")
+    return batch
 
 
 def _execute(
     engine: KVEngine, op: TraceOp, batched: bool
 ) -> Any:
     """Run one trace op on an engine; return the observable result."""
-    if op.kind == "put":
-        engine.put(op.key, op.value)
-    elif op.kind == "delete":
-        engine.delete(op.key)
-    elif op.kind == "delta":
-        engine.apply_delta(op.key, op.value)
+    if op.kind in ("put", "delete", "delta"):
+        write_mutation(engine, op.kind, op.key, op.value)
     elif op.kind == "batch":
         if batched:
-            batch = WriteBatch()
-            for mutation, key, value in op.mutations:
-                if mutation == "put":
-                    batch.put(key, value or b"")
-                elif mutation == "delete":
-                    batch.delete(key)
-                else:
-                    batch.apply_delta(key, value or b"")
-            engine.apply_batch(batch)
+            engine.apply_batch(_write_batch(op.mutations))
         else:
-            for mutation, key, value in op.mutations:
-                if mutation == "put":
-                    engine.put(key, value or b"")
-                elif mutation == "delete":
-                    engine.delete(key)
-                else:
-                    engine.apply_delta(key, value or b"")
+            for mutation in op.mutations:
+                write_mutation(engine, *mutation)
+    elif op.kind == "commit":
+        engine.commit_batch(
+            _write_batch(op.mutations), session=op.session, wait=op.wait
+        )
+    elif op.kind == "flush":
+        engine.flush()
     elif op.kind == "get":
         return engine.get(op.key)
     elif op.kind == "multi_get":
@@ -180,7 +191,7 @@ def _execute(
     elif op.kind == "scan":
         return list(engine.scan(op.key, op.hi, op.limit))
     elif op.kind == "merge_work":
-        _drive_merge(engine, op.budget)
+        drive_merge(engine, op.budget)
     elif op.kind == "migrate":
         # Only engines with an online-migration surface honour this; on
         # everything else it is a no-op, exactly like the oracle treats

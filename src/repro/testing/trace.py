@@ -18,6 +18,14 @@ Operation kinds (:data:`OP_KINDS`):
     An ordered group of mutations applied through
     :meth:`~repro.baselines.interface.KVEngine.apply_batch` — the
     batched-vs-sequential parity surface.
+``commit``
+    A session-tagged mutation group committed through
+    :meth:`~repro.baselines.interface.KVEngine.commit_batch` as one
+    ticket; ``wait`` blocks on the ticket, otherwise it resolves when a
+    later force or ``flush`` covers it — the group-commit surface.
+``flush``
+    A durability barrier (:meth:`~repro.baselines.interface.KVEngine.flush`):
+    drains every pending commit ticket and forces the log.
 ``merge_work``
     A scheduling marker: push the engine's merge machinery forward by a
     byte budget.  No logical state changes, but it moves merge
@@ -56,6 +64,8 @@ OP_KINDS = (
     "scan",
     "multi_get",
     "batch",
+    "commit",
+    "flush",
     "merge_work",
     "crash",
     "migrate",
@@ -71,6 +81,15 @@ def _encode(data: bytes) -> str:
 
 def _decode(text: str) -> bytes:
     return text.encode("latin-1")
+
+
+def _checked(
+    mutations: Sequence[tuple[str, bytes, bytes | None]],
+) -> tuple[tuple[str, bytes, bytes | None], ...]:
+    for op, _, _ in mutations:
+        if op not in ("put", "delete", "delta"):
+            raise ValueError(f"unknown batch mutation {op!r}")
+    return tuple(mutations)
 
 
 @dataclass(frozen=True)
@@ -91,6 +110,8 @@ class TraceOp:
     mutations: tuple[tuple[str, bytes, bytes | None], ...] = ()
     budget: int = 0
     action: str = ""
+    session: int = 0
+    wait: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in OP_KINDS:
@@ -137,10 +158,24 @@ class TraceOp:
         cls, mutations: Sequence[tuple[str, bytes, bytes | None]]
     ) -> "TraceOp":
         """An ordered mutation group applied through ``apply_batch``."""
-        for op, _, _ in mutations:
-            if op not in ("put", "delete", "delta"):
-                raise ValueError(f"unknown batch mutation {op!r}")
-        return cls("batch", mutations=tuple(mutations))
+        return cls("batch", mutations=_checked(mutations))
+
+    @classmethod
+    def commit(
+        cls,
+        mutations: Sequence[tuple[str, bytes, bytes | None]],
+        session: int = 0,
+        wait: bool = False,
+    ) -> "TraceOp":
+        """A mutation group committed as one ticket of ``session``."""
+        return cls(
+            "commit", mutations=_checked(mutations), session=session, wait=wait
+        )
+
+    @classmethod
+    def flush(cls) -> "TraceOp":
+        """A durability barrier: drain pending tickets, force the log."""
+        return cls("flush")
 
     @classmethod
     def merge_work(cls, budget: int = 16 * 1024) -> "TraceOp":
@@ -183,14 +218,17 @@ class TraceOp:
             }
         if self.kind == "multi_get":
             return {"op": "multi_get", "keys": [_encode(k) for k in self.keys]}
-        if self.kind == "batch":
-            return {
-                "op": "batch",
+        if self.kind in ("batch", "commit"):
+            document: dict[str, Any] = {
+                "op": self.kind,
                 "mutations": [
                     [op, _encode(key), None if value is None else _encode(value)]
                     for op, key, value in self.mutations
                 ],
             }
+            if self.kind == "commit":
+                document.update(session=self.session, wait=self.wait)
+            return document
         if self.kind == "merge_work":
             return {"op": "merge_work", "budget": self.budget}
         if self.kind == "migrate":
@@ -200,7 +238,7 @@ class TraceOp:
                 "key": _encode(self.key),
                 "budget": self.budget,
             }
-        return {"op": "crash"}
+        return {"op": self.kind}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TraceOp":
@@ -219,12 +257,17 @@ class TraceOp:
             )
         if kind == "multi_get":
             return cls.multi_get([_decode(k) for k in data["keys"]])
-        if kind == "batch":
-            return cls.batch(
-                [
-                    (op, _decode(key), None if value is None else _decode(value))
-                    for op, key, value in data["mutations"]
-                ]
+        if kind in ("batch", "commit"):
+            mutations = [
+                (op, _decode(key), None if value is None else _decode(value))
+                for op, key, value in data["mutations"]
+            ]
+            if kind == "batch":
+                return cls.batch(mutations)
+            return cls.commit(
+                mutations,
+                session=int(data.get("session", 0)),
+                wait=bool(data.get("wait", False)),
             )
         if kind == "merge_work":
             return cls.merge_work(int(data.get("budget", 16 * 1024)))
@@ -234,8 +277,8 @@ class TraceOp:
                 _decode(data.get("key", "")),
                 int(data.get("budget", 1)),
             )
-        if kind == "crash":
-            return cls.crash()
+        if kind in ("crash", "flush"):
+            return cls(kind)
         raise ValueError(f"unknown trace op {kind!r}")
 
     def __str__(self) -> str:

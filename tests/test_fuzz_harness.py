@@ -54,6 +54,9 @@ ALL_KINDS_OPS = [
         ("delete", b"gone", None),
         ("delta", b"bk", b"+x"),
     ]),
+    TraceOp.commit([("put", b"ck", b"cv"), ("delete", b"gone", None)],
+                   session=3, wait=True),
+    TraceOp.flush(),
     TraceOp.merge_work(12 * 1024),
     TraceOp.crash(),
 ]
@@ -118,6 +121,22 @@ def test_differential_all_engines_agree():
     trace = generate_trace(400, seed=1)
     divergences = run_differential(trace)
     assert divergences == []
+
+
+def test_differential_honours_commit_and_flush_ops():
+    # Session-tagged commits (waited or not) and flush barriers replay
+    # through every engine's commit_batch/flush against the oracle.
+    ops = []
+    for index in range(30):
+        key = b"key%06d" % (index % 7)
+        ops.append(TraceOp.commit(
+            [("put", key, b"v%d" % index), ("delta", key, b"+d")],
+            session=index % 3, wait=index % 4 == 0,
+        ))
+        if index % 10 == 9:
+            ops += [TraceOp.flush(), TraceOp.scan(b"")]
+    ops.append(TraceOp.get(b"key000003"))
+    assert run_differential(Trace(ops)) == []
 
 
 def test_default_matrix_shape():
@@ -209,10 +228,10 @@ def test_crash_markers_recover_and_verify():
 
 
 def test_verify_recovered_flags_lost_acked_write():
-    # The composer's durable-prefix check must actually check: a
-    # recovered store missing an acked write, or returning a value that
-    # is neither the acked nor the in-flight one, gets flagged.
-    from repro.testing.composer import _verify_recovered
+    # The one verifier must actually check: a recovered store missing an
+    # acked write, or returning a value that no prefix of the submitted
+    # stream at or past the acked one produces, gets flagged.
+    from repro.testing.composer import verify_prefix
 
     class Fake:
         def __init__(self, state):
@@ -221,19 +240,44 @@ def test_verify_recovered_flags_lost_acked_write():
         def get(self, key):
             return self.state.get(key)
 
+    acked = [("put", b"k", b"acked")]
     failures = []
-    _verify_recovered(Fake({}), {b"k": b"acked"}, None, failures, "ctx")
+    assert verify_prefix(Fake({}), acked, 1, failures, "ctx") is None
     assert failures and "ctx" in failures[0]
 
     # In-flight ambiguity: old value, new value both fine; garbage not.
-    for value, expect_failure in ((b"acked", False), (b"new", False),
-                                  (b"garbage", True)):
+    stream = acked + [("put", b"k", b"new")]
+    for value, cut in ((b"acked", 1), (b"new", 2), (b"garbage", None)):
         failures = []
-        _verify_recovered(
-            Fake({b"k": value}), {b"k": b"acked"},
-            ("put", b"k", b"new"), failures, "ctx",
-        )
-        assert bool(failures) == expect_failure, (value, failures)
+        assert verify_prefix(Fake({b"k": value}), stream, 1, failures, "ctx") == cut
+        assert bool(failures) == (cut is None), (value, failures)
+
+
+def test_verify_prefix_rejects_gaps_and_folds_deltas():
+    from repro.testing.composer import verify_prefix
+
+    class Fake:
+        def __init__(self, state):
+            self.state = state
+
+        def get(self, key):
+            return self.state.get(key)
+
+    stream = [
+        ("put", b"a", b"1"),
+        ("put", b"b", b"2"),
+        ("delta", b"a", b"+d"),
+        ("delete", b"b", None),
+    ]
+    # Group commit acked nothing: any clean prefix is fine.
+    for cut, state in ((0, {}), (2, {b"a": b"1", b"b": b"2"}),
+                       (3, {b"a": b"1+d", b"b": b"2"}), (4, {b"a": b"1+d"})):
+        assert verify_prefix(Fake(state), stream, 0, [], "ctx") == cut
+    # A later mutation surviving without an earlier one is a gap.
+    failures = []
+    assert verify_prefix(Fake({b"b": b"2"}), stream, 0, failures, "ctx") is None
+    # Shorter than the acked prefix is a loss.
+    assert verify_prefix(Fake({b"a": b"1"}), stream, 2, [], "ctx") is None
 
 
 def test_enumerate_trace_crash_points_small_sweep():

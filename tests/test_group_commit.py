@@ -11,9 +11,13 @@ import pytest
 
 from repro.core.options import BLSMOptions
 from repro.core.tree import BLSM
-from repro.faults.crashpoints import enumerate_group_commit_crash_points
 from repro.storage.logical_log import DurabilityMode
+from repro.testing.composer import (
+    enumerate_trace_crash_points,
+    format_crash_report,
+)
 from repro.testing.differential import default_fuzz_configs
+from repro.testing.scenarios import group_commit_trace
 
 
 def _group_tree(**overrides) -> BLSM:
@@ -150,10 +154,12 @@ def test_wait_charges_queueing_delay_to_the_clock():
 def test_group_commit_crash_matrix():
     # Kill the GROUP commit path at every 2nd device access; recovery
     # must be prefix-consistent and no shorter than the acked tickets.
-    report = enumerate_group_commit_crash_points(batches=40, every=2)
+    report = enumerate_trace_crash_points(
+        group_commit_trace(40), engine="blsm-group", every=2
+    )
     assert report.crashes_triggered > 0
     assert report.recoveries_verified == report.crashes_triggered
-    assert report.ok, [outcome.detail for outcome in report.failures]
+    assert report.ok, format_crash_report(report)
 
 
 def test_fuzz_matrix_includes_group_commit_config():
